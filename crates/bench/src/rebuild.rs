@@ -18,7 +18,7 @@
 use nasd::cheops::{CheopsClient, CheopsConnect, CheopsFile, CheopsManager, Redundancy};
 use nasd::fm::DriveFleet;
 use nasd::mgmt::{MgmtConfig, MgmtRequest, MgmtResponse, NasdMgmt};
-use nasd::net::{CallOptions, Channel, Connector};
+use nasd::net::{CallOptions, Connector};
 use nasd::object::DriveConfig;
 use nasd::proto::{PartitionId, Rights};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -103,7 +103,7 @@ fn measure(setting: &'static str, rate: Option<u64>) -> RebuildRow {
 
     let mgmt = NasdMgmt::new(
         Arc::clone(&fleet),
-        Channel::in_proc(mgr.clone()),
+        mgr.clone(),
         vec![spare],
         MgmtConfig::standard().rebuild_rate(rate),
     );

@@ -628,10 +628,7 @@ mod tests {
             DriveFleet::spawn_memory(n, DriveConfig::small(), PartitionId(1), 32 << 20).unwrap(),
         );
         let (rpc, _h) = CheopsManager::new(Arc::clone(&fleet)).spawn();
-        (
-            CheopsClient::attach(7, Channel::in_proc(rpc), Arc::clone(&fleet)),
-            fleet,
-        )
+        (CheopsClient::attach(7, rpc, Arc::clone(&fleet)), fleet)
     }
 
     const RW: Rights = Rights::ALL;
@@ -767,10 +764,7 @@ mod parity_tests {
             DriveFleet::spawn_memory(n, DriveConfig::small(), PartitionId(1), 32 << 20).unwrap(),
         );
         let (rpc, _h) = CheopsManager::new(Arc::clone(&fleet)).spawn();
-        (
-            CheopsClient::attach(7, Channel::in_proc(rpc), Arc::clone(&fleet)),
-            fleet,
-        )
+        (CheopsClient::attach(7, rpc, Arc::clone(&fleet)), fleet)
     }
 
     #[test]

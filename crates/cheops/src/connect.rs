@@ -5,7 +5,7 @@
 use crate::client::CheopsClient;
 use crate::manager::{CheopsRequest, CheopsResponse};
 use nasd_fm::DriveFleet;
-use nasd_net::{Connector, Rpc};
+use nasd_net::{Channel, Connector};
 use std::sync::Arc;
 
 /// Build Cheops clients from a [`Connector`]. The connector contributes
@@ -17,7 +17,7 @@ pub trait CheopsConnect {
     fn cheops(
         &self,
         id: u64,
-        mgr: Rpc<CheopsRequest, CheopsResponse>,
+        mgr: Channel<CheopsRequest, CheopsResponse>,
         fleet: Arc<DriveFleet>,
     ) -> CheopsClient;
 }
@@ -26,7 +26,7 @@ impl CheopsConnect for Connector {
     fn cheops(
         &self,
         id: u64,
-        mgr: Rpc<CheopsRequest, CheopsResponse>,
+        mgr: Channel<CheopsRequest, CheopsResponse>,
         fleet: Arc<DriveFleet>,
     ) -> CheopsClient {
         CheopsClient::attach(id, self.in_proc(mgr), fleet)

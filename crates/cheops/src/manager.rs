@@ -7,7 +7,7 @@
 
 use crate::map::{Column, Component, ComponentSlot, Layout, LogicalObjectId, Redundancy};
 use nasd_fm::{DriveFleet, FmError};
-use nasd_net::{spawn_service, Rpc, ServiceHandle};
+use nasd_net::{spawn_service, Channel, ServiceHandle};
 use nasd_proto::{ByteRange, Capability, DriveId, Rights, Version};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -460,7 +460,7 @@ impl CheopsManager {
 
     /// Spawn as a threaded service.
     #[must_use]
-    pub fn spawn(self) -> (Rpc<CheopsRequest, CheopsResponse>, ServiceHandle) {
+    pub fn spawn(self) -> (Channel<CheopsRequest, CheopsResponse>, ServiceHandle) {
         let mgr = Arc::new(self);
         spawn_service(move |req| mgr.handle(req))
     }
@@ -479,7 +479,7 @@ mod tests {
     use nasd_object::DriveConfig;
     use nasd_proto::PartitionId;
 
-    fn setup(n: usize) -> (Rpc<CheopsRequest, CheopsResponse>, Arc<DriveFleet>) {
+    fn setup(n: usize) -> (Channel<CheopsRequest, CheopsResponse>, Arc<DriveFleet>) {
         let fleet = Arc::new(
             DriveFleet::spawn_memory(n, DriveConfig::small(), PartitionId(1), 32 << 20).unwrap(),
         );

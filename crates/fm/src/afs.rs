@@ -21,7 +21,7 @@ use crate::handle::{FileHandle, FmAttrs, FmError};
 use crate::nfs::DEFAULT_TTL;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use nasd_net::{spawn_service, CallOptions, Channel, RetryPolicy, Rpc, RpcError, ServiceHandle};
+use nasd_net::{spawn_service, CallOptions, Channel, RetryPolicy, RpcError, ServiceHandle};
 use nasd_proto::{ByteRange, Capability, Rights, Version};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -395,7 +395,7 @@ impl NasdAfs {
 
     /// Spawn as a threaded service.
     #[must_use]
-    pub fn spawn(self) -> (Rpc<AfsRequest, AfsResponse>, ServiceHandle) {
+    pub fn spawn(self) -> (Channel<AfsRequest, AfsResponse>, ServiceHandle) {
         let fm = Arc::new(self);
         spawn_service(move |req| fm.handle(req))
     }
@@ -658,7 +658,7 @@ mod tests {
     use nasd_object::DriveConfig;
     use nasd_proto::PartitionId;
 
-    fn setup(quota: u64) -> (Rpc<AfsRequest, AfsResponse>, Arc<DriveFleet>) {
+    fn setup(quota: u64) -> (Channel<AfsRequest, AfsResponse>, Arc<DriveFleet>) {
         let fleet = Arc::new(
             DriveFleet::spawn_memory(2, DriveConfig::small(), PartitionId(1), 64 << 20).unwrap(),
         );
@@ -670,7 +670,7 @@ mod tests {
     #[test]
     fn create_write_read_cycle() {
         let (rpc, fleet) = setup(1 << 20);
-        let a = AfsClient::attach(1, Channel::in_proc(rpc), fleet).unwrap();
+        let a = AfsClient::attach(1, rpc, fleet).unwrap();
         let fh = a.create(a.root(), "notes.txt").unwrap();
         a.write_file(fh, b"afs on nasd").unwrap();
         assert_eq!(&a.read_file(fh).unwrap()[..], b"afs on nasd");
@@ -682,7 +682,7 @@ mod tests {
     #[test]
     fn local_directory_parsing() {
         let (rpc, fleet) = setup(1 << 20);
-        let a = AfsClient::attach(1, Channel::in_proc(rpc), fleet).unwrap();
+        let a = AfsClient::attach(1, rpc, fleet).unwrap();
         a.create(a.root(), "x").unwrap();
         a.create(a.root(), "y").unwrap();
         let names: Vec<String> = a
@@ -699,8 +699,8 @@ mod tests {
     #[test]
     fn write_capability_breaks_reader_callbacks() {
         let (rpc, fleet) = setup(1 << 20);
-        let a = AfsClient::attach(1, Channel::in_proc(rpc.clone()), Arc::clone(&fleet)).unwrap();
-        let b = AfsClient::attach(2, Channel::in_proc(rpc), fleet).unwrap();
+        let a = AfsClient::attach(1, rpc.clone(), Arc::clone(&fleet)).unwrap();
+        let b = AfsClient::attach(2, rpc, fleet).unwrap();
         let fh = a.create(a.root(), "shared").unwrap();
         a.write_file(fh, b"v1").unwrap();
 
@@ -720,8 +720,8 @@ mod tests {
     #[test]
     fn reads_blocked_while_writer_outstanding() {
         let (rpc, fleet) = setup(1 << 20);
-        let a = AfsClient::attach(1, Channel::in_proc(rpc.clone()), Arc::clone(&fleet)).unwrap();
-        let b = AfsClient::attach(2, Channel::in_proc(rpc), fleet).unwrap();
+        let a = AfsClient::attach(1, rpc.clone(), Arc::clone(&fleet)).unwrap();
+        let b = AfsClient::attach(2, rpc, fleet).unwrap();
         let fh = a.create(a.root(), "locked").unwrap();
 
         let (_wcap, _) = a.fetch_write(fh, 4096).unwrap();
@@ -734,8 +734,8 @@ mod tests {
     #[test]
     fn writer_block_bounded_by_expiry() {
         let (rpc, fleet) = setup(1 << 20);
-        let a = AfsClient::attach(1, Channel::in_proc(rpc.clone()), Arc::clone(&fleet)).unwrap();
-        let b = AfsClient::attach(2, Channel::in_proc(rpc), Arc::clone(&fleet)).unwrap();
+        let a = AfsClient::attach(1, rpc.clone(), Arc::clone(&fleet)).unwrap();
+        let b = AfsClient::attach(2, rpc, Arc::clone(&fleet)).unwrap();
         let fh = a.create(a.root(), "expiring").unwrap();
         let _ = a.fetch_write(fh, 4096).unwrap();
         assert!(b.fetch_read(fh).is_err());
@@ -747,7 +747,7 @@ mod tests {
     #[test]
     fn quota_escrow_enforced_and_settled() {
         let (rpc, fleet) = setup(10_000);
-        let a = AfsClient::attach(1, Channel::in_proc(rpc.clone()), Arc::clone(&fleet)).unwrap();
+        let a = AfsClient::attach(1, rpc.clone(), Arc::clone(&fleet)).unwrap();
         let fh = a.create(a.root(), "quota").unwrap();
 
         // Escrow larger than the volume quota is refused.
@@ -785,7 +785,7 @@ mod tests {
     #[test]
     fn escrow_region_caps_file_growth() {
         let (rpc, fleet) = setup(1 << 20);
-        let a = AfsClient::attach(1, Channel::in_proc(rpc), Arc::clone(&fleet)).unwrap();
+        let a = AfsClient::attach(1, rpc, Arc::clone(&fleet)).unwrap();
         let fh = a.create(a.root(), "capped").unwrap();
         let (cap, _) = a.fetch_write(fh, 1_000).unwrap();
         let ep = fleet.resolve(fh).unwrap();

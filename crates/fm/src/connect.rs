@@ -7,15 +7,15 @@
 //! are decided in exactly one place.
 //!
 //! ```ignore
-//! let fm_rpc = NasdNfs::new(fleet.clone())?.spawn().0;
-//! let client = Connector::new().nfs(fm_rpc, fleet)?;
+//! let fm = NasdNfs::new(fleet.clone())?.spawn().0;
+//! let client = Connector::new().nfs(fm, fleet)?;
 //! ```
 
 use crate::afs::{AfsClient, AfsRequest, AfsResponse};
 use crate::drives::DriveFleet;
 use crate::handle::FmError;
 use crate::nfs::{NfsClient, NfsRequest, NfsResponse};
-use nasd_net::{Connector, Rpc};
+use nasd_net::{Channel, Connector};
 use std::sync::Arc;
 
 /// Build file-manager clients from a [`Connector`]. The manager side
@@ -32,7 +32,7 @@ pub trait FmConnect {
     /// Transport failures or a manager error.
     fn nfs(
         &self,
-        fm: Rpc<NfsRequest, NfsResponse>,
+        fm: Channel<NfsRequest, NfsResponse>,
         fleet: Arc<DriveFleet>,
     ) -> Result<NfsClient, FmError>;
 
@@ -47,7 +47,7 @@ pub trait FmConnect {
     /// Transport failures, a manager error, or an empty shard list.
     fn nfs_sharded(
         &self,
-        fms: Vec<Rpc<NfsRequest, NfsResponse>>,
+        fms: Vec<Channel<NfsRequest, NfsResponse>>,
         fleet: Arc<DriveFleet>,
     ) -> Result<NfsClient, FmError>;
 
@@ -60,7 +60,7 @@ pub trait FmConnect {
     fn afs(
         &self,
         id: u64,
-        fm: Rpc<AfsRequest, AfsResponse>,
+        fm: Channel<AfsRequest, AfsResponse>,
         fleet: Arc<DriveFleet>,
     ) -> Result<AfsClient, FmError>;
 }
@@ -68,7 +68,7 @@ pub trait FmConnect {
 impl FmConnect for Connector {
     fn nfs(
         &self,
-        fm: Rpc<NfsRequest, NfsResponse>,
+        fm: Channel<NfsRequest, NfsResponse>,
         fleet: Arc<DriveFleet>,
     ) -> Result<NfsClient, FmError> {
         NfsClient::attach(self.in_proc(fm), fleet)
@@ -76,10 +76,10 @@ impl FmConnect for Connector {
 
     fn nfs_sharded(
         &self,
-        fms: Vec<Rpc<NfsRequest, NfsResponse>>,
+        fms: Vec<Channel<NfsRequest, NfsResponse>>,
         fleet: Arc<DriveFleet>,
     ) -> Result<NfsClient, FmError> {
-        let channels = fms.into_iter().map(|rpc| self.in_proc(rpc)).collect();
+        let channels = fms.into_iter().map(|fm| self.in_proc(fm)).collect();
         let mut client = NfsClient::attach_sharded(channels, fleet)?;
         client.enable_cap_cache(4096, None);
         Ok(client)
@@ -88,7 +88,7 @@ impl FmConnect for Connector {
     fn afs(
         &self,
         id: u64,
-        fm: Rpc<AfsRequest, AfsResponse>,
+        fm: Channel<AfsRequest, AfsResponse>,
         fleet: Arc<DriveFleet>,
     ) -> Result<AfsClient, FmError> {
         AfsClient::attach(id, self.in_proc(fm), fleet)

@@ -12,7 +12,7 @@ use nasd_crypto::KeyHierarchy;
 use nasd_disk::{MemDisk, SharedDisk};
 use nasd_net::{
     spawn_service, BindAddr, CallOptions, Channel, ChannelFaults, Connector, FaultConfig,
-    FaultPlan, RetryPolicy, Rpc, RpcError, ServiceHandle, WireServer,
+    FaultPlan, RetryPolicy, RpcError, ServiceHandle, WireServer,
 };
 use nasd_object::{DriveConfig, DriveFaultConfig, DriveSecurity, NasdDrive};
 use nasd_proto::wire::WireEncode;
@@ -88,6 +88,11 @@ impl DriveEndpoint {
     /// dies in the drive's replay window while the fresh one is
     /// accepted. Timeouts, disconnections (the drive may be restarting)
     /// and transient [`NasdStatus::Busy`] bounces back off and retry.
+    /// So does [`NasdStatus::Replay`]: a request that fell more than the
+    /// replay window behind this signer's newer nonces before it was
+    /// sent (its thread was descheduled between signing and sending) is
+    /// rejected before the drive executes anything, so re-signing it is
+    /// safe.
     fn call_signed(&self, mut sign: impl FnMut() -> Request) -> Result<Reply, FmError> {
         let policy = self.retry();
         let attempts = policy.max_attempts.max(1);
@@ -99,7 +104,7 @@ impl DriveEndpoint {
                 .channel()
                 .call_with(sign(), &CallOptions::once(policy.timeout))
             {
-                Ok(reply) if reply.status.is_transient() => {}
+                Ok(reply) if reply.status.is_transient() || reply.status == NasdStatus::Replay => {}
                 Ok(reply) => return Ok(reply),
                 Err(RpcError::TimedOut | RpcError::Disconnected) => {}
             }
@@ -447,7 +452,7 @@ impl DriveEndpoint {
 fn spawn_rpc<D: nasd_disk::BlockDevice + 'static>(
     mut drive: NasdDrive<D>,
     clock: Arc<AtomicU64>,
-) -> (Rpc<Request, Reply>, ServiceHandle) {
+) -> (Channel<Request, Reply>, ServiceHandle) {
     spawn_service(move |req: Request| {
         drive.set_clock(clock.load(Ordering::Relaxed));
         let (reply, _report) = drive.handle(&req);
@@ -464,11 +469,8 @@ pub fn spawn_drive<D: nasd_disk::BlockDevice + 'static>(
 ) -> (DriveEndpoint, ServiceHandle) {
     let id = drive.id();
     let hierarchy = drive.hierarchy().clone();
-    let (rpc, handle) = spawn_rpc(drive, clock);
-    (
-        DriveEndpoint::over(id, Channel::in_proc(rpc), hierarchy),
-        handle,
-    )
+    let (channel, handle) = spawn_rpc(drive, clock);
+    (DriveEndpoint::over(id, channel, hierarchy), handle)
 }
 
 impl DriveEndpoint {
@@ -673,8 +675,7 @@ impl DriveFleet {
         let drive = builder
             .open(slot.device.clone())
             .map_err(|_| FmError::Drive(NasdStatus::DriveError))?;
-        let (rpc, handle) = spawn_rpc(drive, Arc::clone(&self.clock));
-        let channel = Channel::in_proc(rpc);
+        let (channel, handle) = spawn_rpc(drive, Arc::clone(&self.clock));
         let channel = match &slot.net_faults {
             Some(ch) => channel.with_faults(Arc::clone(ch)),
             None => channel,
@@ -797,6 +798,43 @@ mod tests {
         assert_eq!(ep.read(&cap, 5, 3).unwrap(), b"the");
         let attrs = ep.get_attr(&cap).unwrap();
         assert_eq!(attrs.size, 13);
+        f.shutdown();
+    }
+
+    #[test]
+    fn stale_nonce_is_re_signed_not_surfaced() {
+        let f = fleet(1);
+        let ep = f.endpoint(0);
+        let p = f.partition();
+        let obj = ep.create_object(p, 0, None, f.now() + 100).unwrap();
+        let cap = ep.mint(
+            p,
+            obj,
+            Version(0),
+            Rights::GETATTR,
+            ByteRange::FULL,
+            f.now() + 100,
+        );
+        let body = RequestBody::GetAttr {
+            partition: p,
+            object: obj,
+        };
+        // Signed, then held back while the same signer moves a full
+        // replay window ahead: the drive must reject its nonce as stale.
+        let stale = ep.sign(&cap, body.clone(), Bytes::new());
+        for _ in 0..=nasd_object::ReplayWindow::WIDTH {
+            ep.get_attr(&cap).unwrap();
+        }
+        let mut first = Some(stale);
+        let reply = ep
+            .call_signed(|| {
+                first
+                    .take()
+                    .unwrap_or_else(|| ep.sign(&cap, body.clone(), Bytes::new()))
+            })
+            .unwrap();
+        assert_eq!(reply.status, NasdStatus::Ok);
+        assert!(first.is_none(), "the stale request was sent first");
         f.shutdown();
     }
 

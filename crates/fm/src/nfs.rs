@@ -12,7 +12,7 @@ use crate::drives::{DriveEndpoint, DriveFleet};
 use crate::handle::{FileHandle, FileType, FmAttrs, FmError};
 use crate::shard::FmShared;
 use bytes::{ByteRope, Bytes};
-use nasd_net::{spawn_service, CallOptions, Channel, RetryPolicy, Rpc, RpcError, ServiceHandle};
+use nasd_net::{spawn_service, CallOptions, Channel, RetryPolicy, RpcError, ServiceHandle};
 use nasd_obs::{Counter, Registry};
 use nasd_proto::{
     route_hash, shard_index, ByteRange, Capability, NasdStatus, ObjectAttributes, RequestBody,
@@ -513,7 +513,7 @@ impl NasdNfs {
 
     /// Spawn the manager as a threaded service.
     #[must_use]
-    pub fn spawn(self) -> (Rpc<NfsRequest, NfsResponse>, ServiceHandle) {
+    pub fn spawn(self) -> (Channel<NfsRequest, NfsResponse>, ServiceHandle) {
         let fm = Arc::new(self);
         spawn_service(move |req| fm.handle(req))
     }
@@ -529,7 +529,7 @@ impl NasdNfs {
     pub fn spawn_sharded(
         self,
         shards: usize,
-    ) -> (Vec<Rpc<NfsRequest, NfsResponse>>, Vec<ServiceHandle>) {
+    ) -> (Vec<Channel<NfsRequest, NfsResponse>>, Vec<ServiceHandle>) {
         let fm = Arc::new(self);
         (0..shards.max(1))
             .map(|_| {
@@ -1102,7 +1102,7 @@ mod tests {
         );
         let fm = NasdNfs::new(Arc::clone(&fleet)).unwrap();
         let (rpc, _handle) = fm.spawn();
-        let client = NfsClient::attach(Channel::in_proc(rpc), Arc::clone(&fleet)).unwrap();
+        let client = NfsClient::attach(rpc, Arc::clone(&fleet)).unwrap();
         (client, fleet)
     }
 

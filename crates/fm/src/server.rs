@@ -12,7 +12,7 @@ use crate::handle::{FileType, FmAttrs, FmError};
 use bytes::Bytes;
 use nasd_disk::{MemDisk, StripedDevice};
 use nasd_ffs::{Ffs, FfsError, FileKind, InodeNo};
-use nasd_net::{spawn_service, Rpc, ServiceHandle};
+use nasd_net::{spawn_service, Channel, ServiceHandle};
 
 /// Requests to the NFS server. All file I/O flows through here — the
 /// defining property of the store-and-forward architecture.
@@ -172,7 +172,7 @@ impl NfsServer {
 
     /// Spawn as a threaded service (the single server machine).
     #[must_use]
-    pub fn spawn(mut self) -> (Rpc<ServerRequest, ServerResponse>, ServiceHandle) {
+    pub fn spawn(mut self) -> (Channel<ServerRequest, ServerResponse>, ServiceHandle) {
         spawn_service(move |req| self.handle(req))
     }
 }
@@ -188,7 +188,7 @@ mod tests {
     use super::*;
     use nasd_net::CallOptions;
 
-    fn server() -> Rpc<ServerRequest, ServerResponse> {
+    fn server() -> Channel<ServerRequest, ServerResponse> {
         let (rpc, _h) = NfsServer::new(8, 2_048).unwrap().spawn();
         rpc
     }

@@ -13,7 +13,7 @@ use nasd_cheops::{
     RepairRecord,
 };
 use nasd_fm::{DriveEndpoint, DriveFleet, FmError};
-use nasd_net::{pace, spawn_service, CallOptions, Channel, RatePacer, Rpc, ServiceHandle};
+use nasd_net::{pace, spawn_service, CallOptions, Channel, RatePacer, ServiceHandle};
 use nasd_obs::{Counter, Gauge, Registry, SimTime, TraceEvent, TraceSink, Utilization};
 use nasd_proto::{ByteRange, Capability, DriveId, ObjectId, Rights, Version};
 use std::sync::Arc;
@@ -262,7 +262,7 @@ impl NasdMgmt {
 
     /// Spawn as a threaded service.
     #[must_use]
-    pub fn spawn(self) -> (Rpc<MgmtRequest, MgmtResponse>, ServiceHandle) {
+    pub fn spawn(self) -> (Channel<MgmtRequest, MgmtResponse>, ServiceHandle) {
         let svc = Arc::new(self);
         spawn_service(move |req| svc.handle(req))
     }
@@ -496,7 +496,7 @@ mod tests {
         n: usize,
     ) -> (
         Arc<DriveFleet>,
-        Rpc<CheopsRequest, CheopsResponse>,
+        Channel<CheopsRequest, CheopsResponse>,
         CheopsClient,
     ) {
         let fleet = Arc::new(
@@ -540,12 +540,7 @@ mod tests {
         fleet.crash(1);
 
         let spare = fleet.endpoint(4).id();
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
-            vec![spare],
-            quick_config(),
-        );
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), mgr.clone(), vec![spare], quick_config());
         let report = detect_and_rebuild(&mgmt);
         assert_eq!(report.newly_failed, vec![failed]);
         assert_eq!(report.rebuilt.len(), 1, "deferred: {:?}", report.deferred);
@@ -592,12 +587,7 @@ mod tests {
         let failed = fleet.endpoint(1).id();
         fleet.crash(1);
         let spare = fleet.endpoint(3).id();
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
-            vec![spare],
-            quick_config(),
-        );
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), mgr.clone(), vec![spare], quick_config());
         let report = detect_and_rebuild(&mgmt);
         assert_eq!(report.rebuilt.len(), 1, "deferred: {:?}", report.deferred);
         assert_eq!(report.rebuilt[0].1.components, 2, "primary + mirror slot");
@@ -631,12 +621,7 @@ mod tests {
         pep.write(&pcap, 4_000, Bytes::from(vec![0xAA; 2_000]))
             .unwrap();
 
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
-            vec![],
-            quick_config(),
-        );
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), mgr.clone(), vec![], quick_config());
         let outcome = mgmt.scrub().unwrap();
         assert_eq!(outcome.objects, 1);
         assert!(outcome.mismatches >= 1, "corruption must be found");
@@ -673,12 +658,7 @@ mod tests {
         );
         mep.write(&mcap, 100, Bytes::from(vec![0x55; 300])).unwrap();
 
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
-            vec![],
-            quick_config(),
-        );
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), mgr.clone(), vec![], quick_config());
         let outcome = mgmt.scrub().unwrap();
         assert!(outcome.mismatches >= 1);
         // The mirror again matches the primary: kill the primary's drive
@@ -700,12 +680,7 @@ mod tests {
 
         let failed = fleet.endpoint(1).id();
         fleet.crash(1);
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
-            vec![],
-            quick_config(),
-        );
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), mgr.clone(), vec![], quick_config());
         let report = detect_and_rebuild(&mgmt);
         assert_eq!(report.newly_failed, vec![failed]);
         assert!(report.rebuilt.is_empty());
@@ -732,12 +707,7 @@ mod tests {
     fn failed_spare_is_dropped_not_rebuilt() {
         let (fleet, mgr, _client) = setup(3);
         let spare = fleet.endpoint(2).id();
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
-            vec![spare],
-            quick_config(),
-        );
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), mgr.clone(), vec![spare], quick_config());
         fleet.crash(2);
         let report = detect_and_rebuild(&mgmt);
         assert_eq!(report.spares_lost, vec![spare]);
@@ -757,12 +727,7 @@ mod tests {
         client.write(&file, 0, &pattern(32 << 10, 1)).unwrap();
 
         let spare = fleet.endpoint(3).id();
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
-            vec![],
-            quick_config(),
-        );
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), mgr.clone(), vec![], quick_config());
         let (rpc, handle) = mgmt.spawn();
         let MgmtResponse::Ok = rpc
             .call_with(
@@ -821,7 +786,7 @@ mod tests {
         // roughly 250 ms (wall-clock assertions stay loose).
         let mgmt = NasdMgmt::new(
             Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
+            mgr.clone(),
             vec![spare],
             quick_config().rebuild_rate(1 << 20).rebuild_chunk(32 << 10),
         );
@@ -848,13 +813,8 @@ mod tests {
         let registry = Registry::new();
         let trace = TraceSink::new(256);
         let spare = fleet.endpoint(3).id();
-        let mgmt = NasdMgmt::new(
-            Arc::clone(&fleet),
-            Channel::in_proc(mgr.clone()),
-            vec![spare],
-            quick_config(),
-        )
-        .observed(&registry, Some(Arc::clone(&trace)));
+        let mgmt = NasdMgmt::new(Arc::clone(&fleet), mgr.clone(), vec![spare], quick_config())
+            .observed(&registry, Some(Arc::clone(&trace)));
         fleet.crash(1);
         detect_and_rebuild(&mgmt);
         assert_eq!(registry.counter("mgmt/failures").value(), 1);

@@ -32,10 +32,11 @@
 //!   `pace(..)`, `.observe(..)` or device I/O.
 //! - **F1 forbid-unsafe** — every crate root must carry
 //!   `#![forbid(unsafe_code)]`.
-//! - **A1 one call surface** — the deleted `Rpc::call` /
-//!   `call_timeout` / `call_retry` methods must not be redefined in the
-//!   transport crate; every caller goes through
-//!   `call_with(&CallOptions)`.
+//! - **A1 one call surface** — the deleted `call` / `call_timeout` /
+//!   `call_retry` methods must not be redefined in the transport crate,
+//!   and `call_with` / `with_faults` may be defined only in its
+//!   `transport.rs`; every caller goes through
+//!   `Channel::call_with(&CallOptions)`.
 //!
 //! The analyzer runs in two passes: pass 1 lexes every source file,
 //! builds a symbol table of `fn` definitions and an over-approximated
@@ -414,10 +415,12 @@ pub const RULES: &[RuleInfo] = &[
         title: "one call surface on the transport",
         allow: None,
         rationale: "The transport exposes exactly one blocking entry, \
-                    call_with(&CallOptions), shared by the in-proc and socket \
+                    Channel::call_with(&CallOptions), and one fault injector, \
+                    Channel::with_faults, shared by the in-proc and socket \
                     implementations; redefining the deleted call/call_timeout/\
-                    call_retry methods in crates/net would fork retry/timeout \
-                    policy away from CallOptions again. Unsuppressable.",
+                    call_retry methods in crates/net, or defining call_with or \
+                    with_faults outside transport.rs, would fork retry/timeout \
+                    policy or the fault schedule again. Unsuppressable.",
     },
     RuleInfo {
         id: "S0",

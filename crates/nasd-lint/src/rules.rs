@@ -343,15 +343,22 @@ pub(crate) fn check_h1(src: &Source, out: &mut Vec<RawFinding>) {
 /// transport crate resurrects the pre-`CallOptions` API.
 const A1_LEGACY_METHODS: &[&str] = &["call", "call_timeout", "call_retry"];
 
-/// A1: the deprecated blocking call methods stay deleted. PR 8 collapsed
-/// `Rpc::call` / `call_timeout` / `call_retry` onto the single
-/// `call_with(&CallOptions)` surface shared by every transport; a fresh
-/// `fn call(` in `crates/net` would fork the API again, and callers
-/// would silently lose retry/timeout/stats policy. Unsuppressable.
+/// The one call surface and the one fault injector: defined on `Channel`
+/// in `transport.rs`, and nowhere else in the transport crate.
+const A1_CHANNEL_ONLY: &[&str] = &["call_with", "with_faults"];
+
+/// A1: one call surface and one fault injector. The blocking `call` /
+/// `call_timeout` / `call_retry` methods were collapsed onto the single
+/// `call_with(&CallOptions)` surface shared by every transport, and the
+/// in-proc transport's own `call_with` and `with_faults` copies were
+/// deleted; a fresh `fn call(` anywhere in `crates/net`, or a
+/// `fn call_with(` / `fn with_faults(` outside `transport.rs`, would
+/// fork the API or the fault schedule again. Unsuppressable.
 pub(crate) fn check_a1(src: &Source, out: &mut Vec<RawFinding>) {
     if crate_of(&src.path) != Some("net") {
         return;
     }
+    let in_transport = src.path.ends_with("/transport.rs");
     let toks = &src.lexed.tokens;
     for (i, t) in toks.iter().enumerate() {
         if !t.is_ident("fn") {
@@ -360,23 +367,34 @@ pub(crate) fn check_a1(src: &Source, out: &mut Vec<RawFinding>) {
         let Some(name) = toks.get(i + 1).and_then(|n| n.ident()) else {
             continue;
         };
-        if A1_LEGACY_METHODS.contains(&name)
-            && toks
-                .get(i + 2)
-                .is_some_and(|n| n.is_punct('(') || n.is_punct('<'))
+        if !toks
+            .get(i + 2)
+            .is_some_and(|n| n.is_punct('(') || n.is_punct('<'))
         {
-            out.push(RawFinding {
-                rule: "A1",
-                file: src.path.clone(),
-                line: t.line,
-                message: format!(
-                    "`fn {name}` reintroduces the deleted blocking call surface; \
-                     route callers through `call_with(&CallOptions)` on a \
-                     Channel/Transport instead"
-                ),
-                allow: None,
-            });
+            continue;
         }
+        let message = if A1_LEGACY_METHODS.contains(&name) {
+            format!(
+                "`fn {name}` reintroduces the deleted blocking call surface; \
+                 route callers through `call_with(&CallOptions)` on a \
+                 Channel/Transport instead"
+            )
+        } else if A1_CHANNEL_ONLY.contains(&name) && !in_transport {
+            format!(
+                "`fn {name}` outside transport.rs forks the one call surface \
+                 and fault injector; implement `Transport` and reach it \
+                 through `Channel::call_with` / `Channel::with_faults`"
+            )
+        } else {
+            continue;
+        };
+        out.push(RawFinding {
+            rule: "A1",
+            file: src.path.clone(),
+            line: t.line,
+            message,
+            allow: None,
+        });
     }
 }
 

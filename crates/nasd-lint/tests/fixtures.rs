@@ -260,6 +260,12 @@ fn a1_resurrected_call_surface_is_reported() {
         "bad-a1 should flag both legacy definitions\n{stdout}"
     );
     assert!(
+        stdout.contains("`fn call_with` outside transport.rs")
+            && stdout.contains("`fn with_faults` outside transport.rs"),
+        "bad-a1 should flag the call surface and fault injector defined \
+         outside transport.rs\n{stdout}"
+    );
+    assert!(
         stdout.contains("call_with"),
         "the finding should point at the one surviving surface\n{stdout}"
     );

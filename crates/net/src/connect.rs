@@ -2,15 +2,16 @@
 //!
 //! Mirrors the PR 3 `DriveBuilder` pattern: configuration accumulates
 //! on the builder (pool size, fault plan), then a terminal method
-//! produces the endpoint — [`Connector::in_proc`] for a channel over a
-//! threaded in-process service, [`Connector::dial`] for one over a real
-//! TCP/UDS socket. Higher layers add their own terminal methods via
-//! extension traits (`FmConnect::nfs/afs`, `CheopsConnect::cheops`, …)
+//! produces the endpoint — [`Connector::in_proc`] for the channel of a
+//! threaded in-process service (from
+//! [`spawn_service`](crate::spawn_service)), [`Connector::dial`] for one
+//! over a real TCP/UDS socket. Either way the fault plan is applied by
+//! the one fault decorator. Higher layers add their own terminal methods
+//! via extension traits (`FmConnect::nfs/afs`, `CheopsConnect::cheops`, …)
 //! so every client in the stack is constructed the same way and none of
 //! them holds a raw transport.
 
 use crate::fault::ChannelFaults;
-use crate::rpc::Rpc;
 use crate::socket::{BindAddr, SocketClient};
 use crate::transport::Channel;
 use nasd_proto::{Reply, Request};
@@ -61,13 +62,15 @@ impl Connector {
         }
     }
 
-    /// A channel over an in-process [`Rpc`] service handle.
+    /// The channel of an in-process service (from
+    /// [`spawn_service`](crate::spawn_service)) under this connector's
+    /// fault plan.
     #[must_use]
     pub fn in_proc<Req: Send + Clone + 'static, Resp: Send + 'static>(
         &self,
-        rpc: Rpc<Req, Resp>,
+        ch: Channel<Req, Resp>,
     ) -> Channel<Req, Resp> {
-        self.wrap(Channel::in_proc(rpc))
+        self.wrap(ch)
     }
 
     /// A channel over a real socket to a wire server speaking drive

@@ -10,12 +10,14 @@
 //!   155 Mb/s ATM link before the receiving client saturates" (§4.3).
 //! * **Functional**: a unified [`Transport`] abstraction behind the
 //!   [`Channel`] handle every client holds — with two implementations:
-//!   the threaded in-process [`Rpc`] over crossbeam channels
-//!   ([`spawn_service`]), and a real TCP/UDS socket transport
-//!   ([`serve`], [`SocketClient`]) speaking the length-prefixed wire
-//!   protocol with tagged frames, request pipelining and reply
-//!   batching. [`Connector`] is how endpoints are built; `call_with`
-//!   ([`CallOptions`]) is the single call surface on both.
+//!   a private in-process transport over crossbeam channels, whose
+//!   [`Channel`] [`spawn_service`] returns, and a real TCP/UDS socket
+//!   transport ([`serve`], [`SocketClient`]) speaking the
+//!   length-prefixed wire protocol with tagged frames, request
+//!   pipelining and reply batching. [`Connector`] is how endpoints are
+//!   built; [`Channel::call_with`] ([`CallOptions`]) is the single call
+//!   surface on both, and [`Channel::with_faults`] the single fault
+//!   injector.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +42,6 @@ pub use frame::{
 pub use model::{LinkSpec, NetworkModel, NodeId, RpcCostModel};
 pub use options::{CallOptions, CallStats};
 pub use pacing::{pace, RatePacer};
-pub use rpc::{spawn_service, Rpc, RpcError, ServiceHandle};
+pub use rpc::{spawn_service, RpcError, ServiceHandle};
 pub use socket::{serve, BindAddr, ServerStats, SocketClient, WireServer, MAX_BATCH};
 pub use transport::{Channel, Pending, Transport};

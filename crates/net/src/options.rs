@@ -1,9 +1,9 @@
-//! Unified call options for [`Rpc`](crate::Rpc) clients.
+//! Unified call options for [`Channel`](crate::Channel) clients.
 //!
 //! The NFS, AFS and Cheops clients each grew an identical hand-rolled
 //! retry loop around `call_timeout`; [`CallOptions`] replaces all of them
-//! with one policy object that [`Rpc::call_with`](crate::Rpc::call_with)
-//! interprets: how many attempts, how long to wait per attempt, and an
+//! with one policy object that
+//! [`Channel::call_with`](crate::Channel::call_with) interprets: how many attempts, how long to wait per attempt, and an
 //! optional [`CallStats`] bundle so every retry and timeout shows up in a
 //! metrics [`Registry`](nasd_obs::Registry).
 

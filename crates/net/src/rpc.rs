@@ -1,22 +1,22 @@
 //! A threaded in-process request/reply transport.
 //!
 //! The functional stack (file managers, Cheops, PFS, examples) runs real
-//! services — drives and managers — each on its own thread, reached by a
-//! cloneable [`Rpc`] handle. The paper used DCE RPC over UDP/IP for the
-//! same role; an in-process channel transport exercises the identical
-//! message flow (every byte still crosses a serialized channel as a
-//! `Request`/`Reply` value) without the 1998 protocol stack.
+//! services — drives and managers — each on its own thread, reached
+//! through the [`Channel`] that [`spawn_service`] returns. The paper used
+//! DCE RPC over UDP/IP for the same role; an in-process channel transport
+//! exercises the identical message flow (every byte still crosses a
+//! serialized channel as a `Request`/`Reply` value) without the 1998
+//! protocol stack.
 //!
-//! The transport is fault-aware: an [`Rpc`] handle built with
-//! [`Rpc::with_faults`] consults its [`ChannelFaults`] injector on every
-//! call and can lose, duplicate, or delay messages per the seeded
-//! [`crate::FaultPlan`]. A lost message surfaces as
-//! [`RpcError::TimedOut`] — the client cannot distinguish a dropped
-//! request from a dropped reply, exactly as on a real network.
+//! The transport itself is private and fault-free: seeded loss,
+//! duplication and delay come from the one fault decorator,
+//! [`Channel::with_faults`], the same one socket endpoints use. A lost
+//! message surfaces as [`RpcError::TimedOut`] — the client cannot
+//! distinguish a dropped request from a dropped reply, exactly as on a
+//! real network.
 
-use crate::fault::{ChannelFaults, FaultAction};
-use crate::options::CallOptions;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crate::transport::{Channel, Pending, Transport};
+use crossbeam::channel::{bounded, unbounded, Sender};
 use std::fmt;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -48,172 +48,28 @@ enum Envelope<Req, Resp> {
     Stop,
 }
 
-/// Client handle to a threaded service. Cloneable; calls from any thread.
-pub struct Rpc<Req, Resp> {
+/// The in-process transport: a sender into one service loop. Private —
+/// callers only ever see it behind the [`Channel`] that
+/// [`spawn_service`] returns.
+struct InProc<Req, Resp> {
     tx: Sender<Envelope<Req, Resp>>,
-    faults: Option<Arc<ChannelFaults>>,
 }
 
-impl<Req, Resp> Clone for Rpc<Req, Resp> {
-    fn clone(&self) -> Self {
-        Rpc {
-            tx: self.tx.clone(),
-            faults: self.faults.clone(),
-        }
-    }
-}
-
-impl<Req, Resp> fmt::Debug for Rpc<Req, Resp> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Rpc { .. }")
-    }
-}
-
-/// Fate of a dispatched request, after fault injection.
-enum Ticket<Resp> {
-    /// Request delivered; wait on this receiver.
-    Wait(Receiver<Resp>),
-    /// Request delivered but the reply will be discarded (lost on the
-    /// way back); wait so the service finishes, then report a timeout.
-    WaitDiscard(Receiver<Resp>),
-    /// Request lost before delivery.
-    Lost,
-}
-
-impl<Req, Resp> Rpc<Req, Resp> {
-    /// A handle that consults `faults` on every call. The underlying
-    /// service is shared with `self`; only this handle's traffic is
-    /// subject to injection.
-    #[must_use]
-    pub fn with_faults(&self, faults: Arc<ChannelFaults>) -> Rpc<Req, Resp> {
-        Rpc {
-            tx: self.tx.clone(),
-            faults: Some(faults),
-        }
-    }
-}
-
-impl<Req: Send + Clone + 'static, Resp: Send + 'static> Rpc<Req, Resp> {
-    fn dispatch(&self, req: Req) -> Result<Ticket<Resp>, RpcError> {
-        let action = match &self.faults {
-            Some(f) => f.next_action(),
-            None => FaultAction::Deliver,
-        };
-        match action {
-            FaultAction::DropRequest => Ok(Ticket::Lost),
-            FaultAction::DelayMicros(us) => {
-                crate::pacing::pace(Duration::from_micros(us));
-                self.send_one(req).map(Ticket::Wait)
-            }
-            FaultAction::Duplicate => {
-                // Two independent deliveries of the same message; the
-                // caller listens to the first. For signed drive traffic
-                // the second delivery trips the replay window.
-                let rx = self.send_one(req.clone())?;
-                // nasd-lint: allow(swallowed-error, "fault injection: the duplicate copy is best-effort; the caller waits on the first delivery")
-                let _ = self.send_one(req);
-                Ok(Ticket::Wait(rx))
-            }
-            FaultAction::DropReply => self.send_one(req).map(Ticket::WaitDiscard),
-            FaultAction::Deliver => self.send_one(req).map(Ticket::Wait),
-        }
+impl<Req: Send + 'static, Resp: Send + 'static> Transport<Req, Resp> for InProc<Req, Resp> {
+    fn attempt(&self, req: Req, timeout: Option<Duration>) -> Result<Resp, RpcError> {
+        self.call_async(req)?.wait(timeout)
     }
 
-    fn send_one(&self, req: Req) -> Result<Receiver<Resp>, RpcError> {
+    fn call_async(&self, req: Req) -> Result<Pending<Resp>, RpcError> {
         let (reply_tx, reply_rx) = bounded(1);
         self.tx
             .send(Envelope::Call(req, reply_tx))
             .map_err(|_| RpcError::Disconnected)?;
-        Ok(reply_rx)
+        Ok(Pending::new(reply_rx))
     }
 
-    /// One transport attempt: dispatch through fault injection, then wait
-    /// for the reply — bounded by `timeout` when given, forever otherwise.
-    pub(crate) fn attempt_once(
-        &self,
-        req: Req,
-        timeout: Option<Duration>,
-    ) -> Result<Resp, RpcError> {
-        let wait = |rx: Receiver<Resp>| match timeout {
-            None => rx.recv().map_err(|_| RpcError::Disconnected),
-            Some(t) => rx.recv_timeout(t).map_err(|e| match e {
-                RecvTimeoutError::Timeout => RpcError::TimedOut,
-                RecvTimeoutError::Disconnected => RpcError::Disconnected,
-            }),
-        };
-        match self.dispatch(req)? {
-            Ticket::Wait(rx) => wait(rx),
-            Ticket::WaitDiscard(rx) => {
-                // nasd-lint: allow(swallowed-error, "fault injection: the reply is discarded by design; waiting only sequences the service")
-                let _ = wait(rx);
-                Err(RpcError::TimedOut)
-            }
-            Ticket::Lost => Err(RpcError::TimedOut),
-        }
-    }
-
-    /// The unified call path: attempts, backoff, per-attempt timeout and
-    /// metrics all come from `opts`. Timeouts are retried (when the
-    /// policy grants more attempts); [`RpcError::Disconnected`] is
-    /// permanent on a fixed channel and returned immediately.
-    ///
-    /// Retrying is only safe for requests that are idempotent or
-    /// independently signed (drive traffic: each attempt carries a fresh
-    /// nonce).
-    ///
-    /// # Errors
-    ///
-    /// [`RpcError::TimedOut`] when every attempt timed out (or injected
-    /// faults lost a single blocking attempt's message);
-    /// [`RpcError::Disconnected`] as soon as the service is gone.
-    pub fn call_with(&self, req: Req, opts: &CallOptions) -> Result<Resp, RpcError> {
-        crate::transport::retry_loop(req, opts, false, |r, t| self.attempt_once(r, t))
-    }
-
-    /// Fire a request without waiting; returns a receiver for the reply
-    /// (lets a client pipeline requests to many services — how the PFS
-    /// client reads all stripe units of a request in parallel).
-    ///
-    /// Under fault injection a lost message yields a receiver whose
-    /// reply never arrives (its sender is gone) — receive with a timeout
-    /// when faults may be active.
-    ///
-    /// # Errors
-    ///
-    /// [`RpcError::Disconnected`] if the service has stopped.
-    pub fn call_async(&self, req: Req) -> Result<Receiver<Resp>, RpcError> {
-        let action = match &self.faults {
-            Some(f) => f.next_action(),
-            None => FaultAction::Deliver,
-        };
-        match action {
-            FaultAction::Deliver => self.send_one(req),
-            FaultAction::DelayMicros(us) => {
-                crate::pacing::pace(Duration::from_micros(us));
-                self.send_one(req)
-            }
-            FaultAction::Duplicate => {
-                let rx = self.send_one(req.clone())?;
-                // nasd-lint: allow(swallowed-error, "fault injection: the duplicate copy is best-effort; the caller waits on the first delivery")
-                let _ = self.send_one(req);
-                Ok(rx)
-            }
-            FaultAction::DropRequest => {
-                // Never sent: hand back a receiver whose sender is gone.
-                let (_, rx) = bounded(1);
-                Ok(rx)
-            }
-            FaultAction::DropReply => {
-                // Delivered and processed, but the reply channel the
-                // caller holds is not the one the service answers on.
-                let (reply_tx, _) = bounded(1);
-                self.tx
-                    .send(Envelope::Call(req, reply_tx))
-                    .map_err(|_| RpcError::Disconnected)?;
-                let (_, rx) = bounded(1);
-                Ok(rx)
-            }
-        }
+    fn name(&self) -> &'static str {
+        "in-proc"
     }
 }
 
@@ -226,11 +82,12 @@ pub struct ServiceHandle {
 }
 
 impl ServiceHandle {
-    /// Stop the service loop and join its thread. Clients holding [`Rpc`]
-    /// clones are not required to drop first: the loop exits on the stop
-    /// message, and later calls return [`RpcError::Disconnected`].
-    /// Dropping the handle without calling this detaches the thread (it
-    /// exits when the last [`Rpc`] clone drops).
+    /// Stop the service loop and join its thread. Clients holding
+    /// [`Channel`] clones are not required to drop first: the loop exits
+    /// on the stop message, and later calls return
+    /// [`RpcError::Disconnected`]. Dropping the handle without calling
+    /// this detaches the thread (it exits when the last [`Channel`]
+    /// clone drops).
     ///
     /// # Panics
     ///
@@ -265,25 +122,28 @@ impl fmt::Debug for ServiceHandle {
 
 impl Drop for ServiceHandle {
     fn drop(&mut self) {
-        // Detach: the thread exits when all Rpc senders drop.
+        // Detach: the thread exits when all channel senders drop.
         self.stop = None;
         self.thread = None;
     }
 }
 
 /// Spawn `service` on its own thread; each incoming request invokes the
-/// closure and sends its return value back to the caller.
+/// closure and sends its return value back to the caller. The returned
+/// [`Channel`] is the service's in-process endpoint; wrap it with
+/// [`Channel::with_faults`] (or hand it to a
+/// [`Connector`](crate::Connector)) to inject faults.
 ///
 /// # Example
 ///
 /// ```
-/// let (rpc, _handle) = nasd_net::spawn_service(|x: u64| x * 2);
+/// let (ch, _handle) = nasd_net::spawn_service(|x: u64| x * 2);
 /// let opts = nasd_net::CallOptions::blocking();
-/// assert_eq!(rpc.call_with(21, &opts).unwrap(), 42);
+/// assert_eq!(ch.call_with(21, &opts).unwrap(), 42);
 /// ```
-pub fn spawn_service<Req, Resp, F>(mut service: F) -> (Rpc<Req, Resp>, ServiceHandle)
+pub fn spawn_service<Req, Resp, F>(mut service: F) -> (Channel<Req, Resp>, ServiceHandle)
 where
-    Req: Send + 'static,
+    Req: Send + Clone + 'static,
     Resp: Send + 'static,
     F: FnMut(Req) -> Resp + Send + 'static,
 {
@@ -307,7 +167,7 @@ where
     });
     let stop_tx = tx.clone();
     (
-        Rpc { tx, faults: None },
+        Channel::new(Arc::new(InProc { tx })),
         ServiceHandle {
             stop: Some(Box::new(move || {
                 // nasd-lint: allow(swallowed-error, "failure means the loop already exited; shutdown's join still observes the thread's fate")
@@ -323,12 +183,13 @@ where
 mod tests {
     use super::*;
     use crate::fault::{FaultConfig, FaultPlan, RetryPolicy};
+    use crate::options::CallOptions;
 
     #[test]
     fn call_roundtrip() {
-        let (rpc, _h) = spawn_service(|s: String| s.len());
+        let (ch, _h) = spawn_service(|s: String| s.len());
         assert_eq!(
-            rpc.call_with("hello".to_string(), &CallOptions::blocking())
+            ch.call_with("hello".to_string(), &CallOptions::blocking())
                 .unwrap(),
             5
         );
@@ -336,34 +197,34 @@ mod tests {
 
     #[test]
     fn clones_share_the_service() {
-        let (rpc, _h) = spawn_service({
+        let (ch, _h) = spawn_service({
             let mut count = 0u64;
             move |(): ()| {
                 count += 1;
                 count
             }
         });
-        let rpc2 = rpc.clone();
-        assert_eq!(rpc.call_with((), &CallOptions::blocking()).unwrap(), 1);
-        assert_eq!(rpc2.call_with((), &CallOptions::blocking()).unwrap(), 2);
+        let ch2 = ch.clone();
+        assert_eq!(ch.call_with((), &CallOptions::blocking()).unwrap(), 1);
+        assert_eq!(ch2.call_with((), &CallOptions::blocking()).unwrap(), 2);
     }
 
     #[test]
     fn async_calls_pipeline() {
-        let (rpc, _h) = spawn_service(|x: u64| x + 1);
-        let pending: Vec<_> = (0..10).map(|i| rpc.call_async(i).unwrap()).collect();
+        let (ch, _h) = spawn_service(|x: u64| x + 1);
+        let pending: Vec<_> = (0..10).map(|i| ch.call_async(i).unwrap()).collect();
         let results: Vec<u64> = pending.into_iter().map(|r| r.recv().unwrap()).collect();
         assert_eq!(results, (1..=10).collect::<Vec<_>>());
     }
 
     #[test]
     fn concurrent_callers() {
-        let (rpc, _h) = spawn_service(|x: u64| x * x);
+        let (ch, _h) = spawn_service(|x: u64| x * x);
         let mut joins = Vec::new();
         for i in 0..8u64 {
-            let rpc = rpc.clone();
+            let ch = ch.clone();
             joins.push(std::thread::spawn(move || {
-                rpc.call_with(i, &CallOptions::blocking()).unwrap()
+                ch.call_with(i, &CallOptions::blocking()).unwrap()
             }));
         }
         let mut results: Vec<u64> = joins.into_iter().map(|j| j.join().unwrap()).collect();
@@ -373,48 +234,48 @@ mod tests {
 
     #[test]
     fn disconnected_after_shutdown_with_live_clients() {
-        let (rpc, handle) = spawn_service(|(): ()| ());
-        let rpc2 = rpc.clone();
-        assert!(rpc.call_with((), &CallOptions::blocking()).is_ok());
+        let (ch, handle) = spawn_service(|(): ()| ());
+        let ch2 = ch.clone();
+        assert!(ch.call_with((), &CallOptions::blocking()).is_ok());
         // Clients still hold handles; shutdown must not block on them.
         handle.shutdown();
         assert_eq!(
-            rpc.call_with((), &CallOptions::blocking()),
+            ch.call_with((), &CallOptions::blocking()),
             Err(RpcError::Disconnected)
         );
         assert_eq!(
-            rpc2.call_with((), &CallOptions::blocking()),
+            ch2.call_with((), &CallOptions::blocking()),
             Err(RpcError::Disconnected)
         );
     }
 
     #[test]
     fn dropping_the_handle_detaches() {
-        let (rpc, handle) = spawn_service(|(): ()| ());
+        let (ch, handle) = spawn_service(|(): ()| ());
         drop(handle); // detached; still serving
-        assert!(rpc.call_with((), &CallOptions::blocking()).is_ok());
+        assert!(ch.call_with((), &CallOptions::blocking()).is_ok());
     }
 
     #[test]
     fn call_timeout_expires_on_slow_service() {
-        let (rpc, _h) = spawn_service(|(): ()| {
+        let (ch, _h) = spawn_service(|(): ()| {
             std::thread::sleep(Duration::from_millis(200));
         });
         assert_eq!(
-            rpc.call_with((), &CallOptions::once(Duration::from_millis(5))),
+            ch.call_with((), &CallOptions::once(Duration::from_millis(5))),
             Err(RpcError::TimedOut)
         );
     }
 
     #[test]
     fn late_replies_to_departed_callers_are_counted() {
-        let (rpc, h) = spawn_service(|(): ()| {
+        let (ch, h) = spawn_service(|(): ()| {
             std::thread::sleep(Duration::from_millis(50));
         });
         // The caller gives up long before the service answers; the
         // orphaned reply must be counted, not silently discarded.
         assert_eq!(
-            rpc.call_with((), &CallOptions::once(Duration::from_millis(5))),
+            ch.call_with((), &CallOptions::once(Duration::from_millis(5))),
             Err(RpcError::TimedOut)
         );
         for _ in 0..200 {
@@ -425,57 +286,24 @@ mod tests {
         }
         assert_eq!(h.replies_dropped(), 1);
         // A caller that waits is never counted.
-        assert!(rpc.call_with((), &CallOptions::blocking()).is_ok());
+        assert!(ch.call_with((), &CallOptions::blocking()).is_ok());
         assert_eq!(h.replies_dropped(), 1);
     }
 
     #[test]
     fn shutdown_propagates_a_service_panic() {
-        let (rpc, h) = spawn_service(|x: u64| {
+        let (ch, h) = spawn_service(|x: u64| {
             assert!(x != 13, "unlucky");
             x
         });
-        assert_eq!(rpc.call_with(7, &CallOptions::blocking()).unwrap(), 7);
+        assert_eq!(ch.call_with(7, &CallOptions::blocking()).unwrap(), 7);
         assert_eq!(
-            rpc.call_with(13, &CallOptions::blocking()),
+            ch.call_with(13, &CallOptions::blocking()),
             Err(RpcError::Disconnected)
         );
         // The crashed service must not look like a clean shutdown.
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.shutdown()));
         assert!(err.is_err(), "shutdown should re-raise the service panic");
-    }
-
-    #[test]
-    fn dropped_requests_surface_as_timeouts_and_retry_recovers() {
-        let plan = FaultPlan::new(42);
-        let config = FaultConfig {
-            drop: 0.5,
-            ..FaultConfig::none()
-        };
-        let (rpc, _h) = spawn_service(|x: u64| x + 1);
-        let faulty = rpc.with_faults(plan.channel(1, config));
-        let policy = RetryPolicy {
-            max_attempts: 32,
-            timeout: Duration::from_millis(100),
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-        };
-        let mut timeouts = 0;
-        for i in 0..50 {
-            // Every individual call either succeeds or times out...
-            match faulty.call_with(i, &CallOptions::blocking()) {
-                Ok(v) => assert_eq!(v, i + 1),
-                Err(RpcError::TimedOut) => timeouts += 1,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-            // ...and the retry wrapper always gets through at 50% loss.
-            assert_eq!(
-                faulty.call_with(i, &CallOptions::retry(policy)).unwrap(),
-                i + 1
-            );
-        }
-        assert!(timeouts > 0, "the seed should drop some of 50 calls");
-        assert!(!plan.trace().is_empty());
     }
 
     #[test]
@@ -487,8 +315,8 @@ mod tests {
             drop: 0.5,
             ..FaultConfig::none()
         };
-        let (rpc, _h) = spawn_service(|x: u64| x + 1);
-        let faulty = rpc.with_faults(plan.channel(1, config));
+        let (ch, _h) = spawn_service(|x: u64| x + 1);
+        let faulty = ch.with_faults(plan.channel(1, config));
         let opts = CallOptions::retry(RetryPolicy {
             max_attempts: 32,
             timeout: Duration::from_millis(100),
@@ -512,45 +340,21 @@ mod tests {
     fn call_with_counts_disconnects() {
         use nasd_obs::Registry;
         let registry = Registry::new();
-        let (rpc, handle) = spawn_service(|x: u64| x);
+        let (ch, handle) = spawn_service(|x: u64| x);
         handle.shutdown();
         let opts = CallOptions::blocking().with_registry(&registry, "gone");
-        assert_eq!(rpc.call_with(1, &opts), Err(RpcError::Disconnected));
+        assert_eq!(ch.call_with(1, &opts), Err(RpcError::Disconnected));
         assert_eq!(registry.counter("gone/disconnects").value(), 1);
     }
 
     #[test]
     fn retry_does_not_mask_disconnection() {
-        let (rpc, handle) = spawn_service(|x: u64| x);
+        let (ch, handle) = spawn_service(|x: u64| x);
         handle.shutdown();
         assert_eq!(
-            rpc.call_with(1, &CallOptions::retry(RetryPolicy::standard())),
+            ch.call_with(1, &CallOptions::retry(RetryPolicy::standard())),
             Err(RpcError::Disconnected)
         );
-    }
-
-    #[test]
-    fn duplicated_calls_still_answer_the_caller() {
-        let plan = FaultPlan::new(7);
-        let config = FaultConfig {
-            duplicate: 1.0,
-            ..FaultConfig::none()
-        };
-        let (rpc, _h) = spawn_service({
-            let mut hits = 0u64;
-            move |(): ()| {
-                hits += 1;
-                hits
-            }
-        });
-        let faulty = rpc.with_faults(plan.channel(1, config));
-        // Every call is duplicated: the service sees two deliveries but
-        // the caller gets exactly one answer.
-        let first = faulty.call_with((), &CallOptions::blocking()).unwrap();
-        assert_eq!(first, 1);
-        // Drain: by the next exchange the duplicate has also run.
-        let second = rpc.call_with((), &CallOptions::blocking()).unwrap();
-        assert!(second >= 3, "duplicate delivery should have run: {second}");
     }
 
     #[test]

@@ -549,8 +549,8 @@ impl Conn {
                         }
                     }
                     // No waiter: a reply to a request whose caller gave
-                    // up — dropped by design, same as Rpc's
-                    // replies_dropped path.
+                    // up — dropped by design, same as the in-proc
+                    // service's replies_dropped path.
                 }
                 alive.store(false, Ordering::SeqCst);
                 // Every in-flight waiter sees Disconnected, not a hang.
@@ -834,8 +834,7 @@ mod tests {
         // wire replies — the transports may not disturb the protocol.
         let server = serve(&BindAddr::uds_temp("parity"), 1, echo).unwrap();
         let socket = Connector::new().dial(server.addr()).unwrap();
-        let (rpc, _handle) = crate::spawn_service(echo);
-        let in_proc = Connector::new().in_proc(rpc);
+        let (in_proc, _handle) = crate::spawn_service(echo);
         let opts = CallOptions::blocking();
         for i in 0..8u64 {
             let req = request(i, vec![0x11 ^ (i as u8); 2048]);
@@ -934,11 +933,11 @@ mod tests {
                 .faults(sock_plan.channel(1, config))
                 .dial(server.addr())
                 .unwrap();
-            let (rpc, _handle) = crate::spawn_service(echo);
+            let (ch, _handle) = crate::spawn_service(echo);
             let proc_plan = FaultPlan::new(seed);
             let in_proc = Connector::new()
                 .faults(proc_plan.channel(1, config))
-                .in_proc(rpc);
+                .in_proc(ch);
             let opts = CallOptions {
                 policy: crate::RetryPolicy::standard(),
                 attempt_timeout: Some(Duration::from_millis(200)),

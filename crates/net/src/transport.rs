@@ -1,23 +1,23 @@
 //! The unified, transport-agnostic call surface.
 //!
-//! A [`Channel`] fronts any [`Transport`] — the in-process channel
-//! service ([`Rpc`]) or the pooled socket client
-//! ([`SocketClient`](crate::SocketClient)) — behind the single call
-//! surface the rest of the stack uses: `call_with(&CallOptions)` plus
-//! `call_async` for pipelining. File managers, Cheops and PFS hold
+//! A [`Channel`] fronts any [`Transport`] — the private in-process
+//! service transport behind [`spawn_service`](crate::spawn_service) or
+//! the pooled socket client ([`SocketClient`](crate::SocketClient)) —
+//! behind the single call surface the rest of the stack uses:
+//! `call_with(&CallOptions)` plus `call_async` for pipelining. File managers, Cheops and PFS hold
 //! [`Channel`]s, not raw transports, so moving a drive from an
 //! in-process thread to a real socket changes construction
 //! (see [`Connector`](crate::Connector)) and nothing else.
 //!
-//! Fault injection composes at this layer too: [`Channel::with_faults`]
-//! wraps *any* transport in a connection-level fault decorator driven by
-//! the same seeded [`FaultPlan`](crate::FaultPlan) the chaos suite has
-//! always used, so drop/dup/delay schedules replay identically over
+//! Fault injection lives only at this layer: [`Channel::with_faults`]
+//! wraps *any* transport in the one connection-level fault decorator,
+//! driven by the seeded [`FaultPlan`](crate::FaultPlan) the chaos suite
+//! uses, so drop/dup/delay schedules replay identically over in-process
 //! channels and over sockets.
 
 use crate::fault::{ChannelFaults, FaultAction};
 use crate::options::CallOptions;
-use crate::rpc::{Rpc, RpcError};
+use crate::rpc::RpcError;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError};
 use std::fmt;
 use std::sync::Arc;
@@ -85,7 +85,8 @@ impl<Resp> Pending<Resp> {
 
 /// One concrete way to move a request to a service and its reply back.
 ///
-/// Implementations: [`Rpc`] (in-process channels),
+/// Implementations: the private in-process transport behind
+/// [`spawn_service`](crate::spawn_service),
 /// [`SocketClient`](crate::SocketClient) (framed TCP/UDS with
 /// pipelining), and the internal fault decorator behind
 /// [`Channel::with_faults`]. Every error a transport reports is one of
@@ -126,70 +127,10 @@ pub trait Transport<Req, Resp>: Send + Sync {
     }
 }
 
-/// The shared retry loop behind every `call_with`: attempts, backoff,
-/// per-attempt timeout and metrics all come from `opts`. Timeouts are
-/// retried when the policy grants more attempts; [`RpcError::Disconnected`]
-/// is retried only when `reconnects` says a fresh attempt can reach a new
-/// connection, and is returned immediately otherwise.
-pub(crate) fn retry_loop<Req: Clone, Resp>(
-    req: Req,
-    opts: &CallOptions,
-    reconnects: bool,
-    mut attempt: impl FnMut(Req, Option<Duration>) -> Result<Resp, RpcError>,
-) -> Result<Resp, RpcError> {
-    if let Some(stats) = &opts.stats {
-        stats.calls.inc();
-    }
-    let attempts = opts.policy.max_attempts.max(1);
-    let mut last = RpcError::TimedOut;
-    for attempt_no in 0..attempts {
-        crate::pacing::pace(opts.policy.backoff(attempt_no));
-        if let Some(stats) = &opts.stats {
-            stats.attempts.inc();
-        }
-        match attempt(req.clone(), opts.attempt_timeout) {
-            Ok(resp) => return Ok(resp),
-            Err(RpcError::TimedOut) => {
-                if let Some(stats) = &opts.stats {
-                    stats.timeouts.inc();
-                }
-                last = RpcError::TimedOut;
-            }
-            Err(RpcError::Disconnected) => {
-                if let Some(stats) = &opts.stats {
-                    stats.disconnects.inc();
-                }
-                if !reconnects {
-                    return Err(RpcError::Disconnected);
-                }
-                last = RpcError::Disconnected;
-            }
-        }
-    }
-    if let Some(stats) = &opts.stats {
-        stats.exhausted.inc();
-    }
-    Err(last)
-}
-
-impl<Req: Send + Clone + 'static, Resp: Send + 'static> Transport<Req, Resp> for Rpc<Req, Resp> {
-    fn attempt(&self, req: Req, timeout: Option<Duration>) -> Result<Resp, RpcError> {
-        self.attempt_once(req, timeout)
-    }
-
-    fn call_async(&self, req: Req) -> Result<Pending<Resp>, RpcError> {
-        Rpc::call_async(self, req).map(Pending::new)
-    }
-
-    fn name(&self) -> &'static str {
-        "in-proc"
-    }
-}
-
 /// A cloneable handle to a service over *some* transport — the type every
 /// client in the stack holds. Obtain one from a
-/// [`Connector`](crate::Connector) (or [`Channel::in_proc`] directly) and
-/// call through [`Channel::call_with`] / [`Channel::call_async`].
+/// [`Connector`](crate::Connector) or [`spawn_service`](crate::spawn_service)
+/// and call through [`Channel::call_with`] / [`Channel::call_async`].
 pub struct Channel<Req, Resp> {
     inner: Arc<dyn Transport<Req, Resp>>,
 }
@@ -217,20 +158,10 @@ impl<Req: Send + Clone + 'static, Resp: Send + 'static> Channel<Req, Resp> {
         Channel { inner: transport }
     }
 
-    /// A channel over an in-process [`Rpc`] handle — today's threaded
-    /// services, unchanged.
-    #[must_use]
-    pub fn in_proc(rpc: Rpc<Req, Resp>) -> Self {
-        Channel {
-            inner: Arc::new(rpc),
-        }
-    }
-
     /// A handle whose traffic is subject to seeded connection-level
     /// fault injection. Works over any transport: the decorator drops,
     /// duplicates and delays whole requests/replies per the plan's
-    /// deterministic schedule, exactly as [`Rpc::with_faults`] always
-    /// did for in-process channels.
+    /// deterministic schedule.
     #[must_use]
     pub fn with_faults(&self, faults: Arc<ChannelFaults>) -> Self {
         Channel {
@@ -257,9 +188,40 @@ impl<Req: Send + Clone + 'static, Resp: Send + 'static> Channel<Req, Resp> {
     /// on fixed transports, after exhausting attempts on re-dialing
     /// ones).
     pub fn call_with(&self, req: Req, opts: &CallOptions) -> Result<Resp, RpcError> {
-        retry_loop(req, opts, self.inner.reconnects(), |r, t| {
-            self.inner.attempt(r, t)
-        })
+        if let Some(stats) = &opts.stats {
+            stats.calls.inc();
+        }
+        let reconnects = self.inner.reconnects();
+        let attempts = opts.policy.max_attempts.max(1);
+        let mut last = RpcError::TimedOut;
+        for attempt_no in 0..attempts {
+            crate::pacing::pace(opts.policy.backoff(attempt_no));
+            if let Some(stats) = &opts.stats {
+                stats.attempts.inc();
+            }
+            match self.inner.attempt(req.clone(), opts.attempt_timeout) {
+                Ok(resp) => return Ok(resp),
+                Err(RpcError::TimedOut) => {
+                    if let Some(stats) = &opts.stats {
+                        stats.timeouts.inc();
+                    }
+                    last = RpcError::TimedOut;
+                }
+                Err(RpcError::Disconnected) => {
+                    if let Some(stats) = &opts.stats {
+                        stats.disconnects.inc();
+                    }
+                    if !reconnects {
+                        return Err(RpcError::Disconnected);
+                    }
+                    last = RpcError::Disconnected;
+                }
+            }
+        }
+        if let Some(stats) = &opts.stats {
+            stats.exhausted.inc();
+        }
+        Err(last)
     }
 
     /// Fire a request without waiting (request pipelining); the reply
@@ -280,9 +242,9 @@ impl<Req: Send + Clone + 'static, Resp: Send + 'static> Channel<Req, Resp> {
 }
 
 /// Connection-level fault decorator: applies one seeded [`FaultAction`]
-/// per request, then delegates to the wrapped transport. Mirrors the
-/// in-channel injection [`Rpc`] performs, so the same plan produces the
-/// same realized schedule over any transport.
+/// per request, then delegates to the wrapped transport, so the same
+/// plan produces the same realized schedule over any transport. The
+/// stack's only fault injector.
 struct FaultTransport<Req, Resp> {
     inner: Arc<dyn Transport<Req, Resp>>,
     faults: Arc<ChannelFaults>,
@@ -359,8 +321,7 @@ mod tests {
 
     #[test]
     fn channel_over_in_proc_roundtrips() {
-        let (rpc, _h) = spawn_service(|x: u64| x * 3);
-        let ch = Channel::in_proc(rpc);
+        let (ch, _h) = spawn_service(|x: u64| x * 3);
         assert_eq!(ch.call_with(7, &CallOptions::blocking()).unwrap(), 21);
         assert_eq!(ch.transport_name(), "in-proc");
         let ch2 = ch.clone();
@@ -369,8 +330,7 @@ mod tests {
 
     #[test]
     fn channel_async_pipelines() {
-        let (rpc, _h) = spawn_service(|x: u64| x + 1);
-        let ch = Channel::in_proc(rpc);
+        let (ch, _h) = spawn_service(|x: u64| x + 1);
         let pending: Vec<_> = (0..10).map(|i| ch.call_async(i).unwrap()).collect();
         let results: Vec<u64> = pending.iter().map(|p| p.recv().unwrap()).collect();
         assert_eq!(results, (1..=10).collect::<Vec<_>>());
@@ -378,8 +338,7 @@ mod tests {
 
     #[test]
     fn in_proc_disconnect_is_permanent() {
-        let (rpc, h) = spawn_service(|x: u64| x);
-        let ch = Channel::in_proc(rpc);
+        let (ch, h) = spawn_service(|x: u64| x);
         h.shutdown();
         // Even a retrying policy fails fast: the service thread is gone
         // and no reconnect can bring it back.
@@ -396,8 +355,8 @@ mod tests {
             drop: 0.5,
             ..FaultConfig::none()
         };
-        let (rpc, _h) = spawn_service(|x: u64| x + 1);
-        let ch = Channel::in_proc(rpc).with_faults(plan.channel(1, config));
+        let (ch, _h) = spawn_service(|x: u64| x + 1);
+        let ch = ch.with_faults(plan.channel(1, config));
         assert_eq!(ch.transport_name(), "faulty");
         let policy = RetryPolicy {
             max_attempts: 32,
@@ -420,48 +379,19 @@ mod tests {
     }
 
     #[test]
-    fn channel_fault_schedule_matches_rpc_fault_schedule() {
-        // The decorator consults the same (seed, target, seq) stream as
-        // the legacy in-channel injection, so a chaos seed produces the
-        // identical realized schedule through either path.
-        let config = FaultConfig::lossy(1.0);
-        let via_rpc = {
-            let plan = FaultPlan::new(9);
-            let (rpc, _h) = spawn_service(|x: u64| x);
-            let faulty = rpc.with_faults(plan.channel(3, config));
-            for i in 0..100 {
-                // Outcome irrelevant: the consumed fault schedule is the point.
-                let _ = faulty.call_with(i, &CallOptions::once(Duration::from_millis(50)));
-            }
-            plan.trace()
-        };
-        let via_channel = {
-            let plan = FaultPlan::new(9);
-            let (rpc, _h) = spawn_service(|x: u64| x);
-            let ch = Channel::in_proc(rpc).with_faults(plan.channel(3, config));
-            for i in 0..100 {
-                let _ = ch.call_with(i, &CallOptions::once(Duration::from_millis(50)));
-            }
-            plan.trace()
-        };
-        assert_eq!(via_rpc, via_channel);
-    }
-
-    #[test]
     fn duplicated_channel_calls_still_answer() {
         let plan = FaultPlan::new(7);
         let config = FaultConfig {
             duplicate: 1.0,
             ..FaultConfig::none()
         };
-        let (rpc, _h) = spawn_service({
+        let (plain, _h) = spawn_service({
             let mut hits = 0u64;
             move |(): ()| {
                 hits += 1;
                 hits
             }
         });
-        let plain = Channel::in_proc(rpc);
         let faulty = plain.with_faults(plan.channel(1, config));
         // Every call is duplicated: the service sees two deliveries but
         // the caller gets exactly one answer.
@@ -478,14 +408,13 @@ mod tests {
             drop_reply: 1.0,
             ..FaultConfig::none()
         };
-        let (rpc, _h) = spawn_service({
+        let (plain, _h) = spawn_service({
             let mut hits = 0u64;
             move |(): ()| {
                 hits += 1;
                 hits
             }
         });
-        let plain = Channel::in_proc(rpc);
         let faulty = plain.with_faults(plan.channel(1, config));
         assert_eq!(
             faulty.call_with((), &CallOptions::once(Duration::from_millis(200))),

@@ -1,7 +1,7 @@
 //! A dependency-free JSON value, writer and parser.
 //!
-//! The workspace's `serde` is an offline no-op shim (see `shims/README.md`),
-//! so machine-readable output is hand-rolled here. The representation is
+//! The workspace builds offline with no serialization crate, so
+//! machine-readable output is hand-rolled here. The representation is
 //! deliberately small: objects preserve insertion order (a serialized
 //! report re-parses and re-serializes to the identical string, which is
 //! what the golden-file tests pin down), and numbers are `f64` — every

@@ -5,7 +5,7 @@ use crate::name::NameService;
 use crate::sio::PfsClient;
 use nasd_cheops::{CheopsConnect, CheopsManager, CheopsRequest, CheopsResponse};
 use nasd_fm::{DriveFleet, FmError};
-use nasd_net::{Connector, Rpc, ServiceHandle};
+use nasd_net::{Channel, Connector, ServiceHandle};
 use nasd_object::DriveConfig;
 use nasd_proto::PartitionId;
 use std::sync::Arc;
@@ -13,8 +13,8 @@ use std::sync::Arc;
 /// A running PFS installation.
 pub struct PfsCluster {
     fleet: Arc<DriveFleet>,
-    cheops: Rpc<CheopsRequest, CheopsResponse>,
-    names: Rpc<crate::name::NameRequest, crate::name::NameResponse>,
+    cheops: Channel<CheopsRequest, CheopsResponse>,
+    names: Channel<crate::name::NameRequest, crate::name::NameResponse>,
     stripe_unit: u64,
     _handles: Vec<ServiceHandle>,
 }

@@ -3,7 +3,7 @@
 //! controls from the filesystem").
 
 use nasd_cheops::LogicalObjectId;
-use nasd_net::{spawn_service, Rpc, ServiceHandle};
+use nasd_net::{spawn_service, Channel, ServiceHandle};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -97,7 +97,7 @@ impl NameService {
 
     /// Spawn as a threaded service.
     #[must_use]
-    pub fn spawn(self) -> (Rpc<NameRequest, NameResponse>, ServiceHandle) {
+    pub fn spawn(self) -> (Channel<NameRequest, NameResponse>, ServiceHandle) {
         let svc = Arc::new(self);
         spawn_service(move |req| svc.handle(req))
     }

@@ -11,7 +11,7 @@ use nasd::cheops::CheopsConnect;
 use nasd::cheops::{CheopsManager, Redundancy, RepairPhase};
 use nasd::fm::DriveFleet;
 use nasd::mgmt::{MgmtConfig, NasdMgmt};
-use nasd::net::{Channel, Connector};
+use nasd::net::Connector;
 use nasd::object::DriveConfig;
 use nasd::proto::{ByteRange, PartitionId, Rights, Version};
 use std::sync::Arc;
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spare = fleet.endpoint(4).id();
     let mgmt = NasdMgmt::new(
         Arc::clone(&fleet),
-        Channel::in_proc(mgr),
+        mgr,
         vec![spare],
         MgmtConfig::standard()
             .probe_timeout(Duration::from_millis(30))

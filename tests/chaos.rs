@@ -19,7 +19,7 @@ use nasd::fm::{AfsClient, DriveFleet, FmError, NasdAfs, NasdNfs};
 use nasd::mgmt::{MgmtConfig, NasdMgmt};
 use nasd::mining::parallel::parallel_frequent_items;
 use nasd::mining::{apriori, TransactionGenerator, TransactionReader};
-use nasd::net::{Channel, Connector};
+use nasd::net::Connector;
 use nasd::net::{FaultConfig, FaultEvent, FaultPlan, RetryPolicy};
 use nasd::object::{DriveConfig, DriveFaultConfig};
 use nasd::pfs::PfsCluster;
@@ -530,7 +530,7 @@ fn rebuild_scenario(seed: u64, chaos: bool) -> Vec<u8> {
         fleet.crash(1);
         let mgmt = NasdMgmt::new(
             Arc::clone(&fleet),
-            Channel::in_proc(mgr),
+            mgr,
             vec![spare],
             MgmtConfig::standard().probe_timeout(Duration::from_millis(30)),
         );
